@@ -10,18 +10,8 @@ import (
 // Fp is an element of the BN254 base field, in Montgomery form.
 type Fp [4]uint64
 
-var (
-	fpNine  Fp // 9, used by the ξ = 9+u non-residue
-	fpThree Fp
-)
-
-func initFpConstants() {
-	fpNine.SetUint64(9)
-	fpThree.SetUint64(3)
-}
-
 // PModulus returns the base-field prime as a new big.Int.
-func PModulus() *big.Int { return new(big.Int).Set(pMod.big) }
+func PModulus() *big.Int { return new(big.Int).Set(pBig) }
 
 // NewFp returns the field element for v.
 func NewFp(v uint64) Fp {
@@ -37,12 +27,12 @@ func (z *Fp) Set(x *Fp) *Fp { *z = *x; return z }
 func (z *Fp) SetZero() *Fp { *z = Fp{}; return z }
 
 // SetOne sets z = 1 and returns z.
-func (z *Fp) SetOne() *Fp { *z = Fp(pMod.r); return z }
+func (z *Fp) SetOne() *Fp { *z = fpOne; return z }
 
 // SetUint64 sets z = v and returns z.
 func (z *Fp) SetUint64(v uint64) *Fp {
 	raw := [4]uint64{v, 0, 0, 0}
-	montMul((*[4]uint64)(z), &raw, &pMod.r2, &pMod)
+	mulFp((*[4]uint64)(z), &raw, &fpR2)
 	return z
 }
 
@@ -57,16 +47,21 @@ func (z *Fp) SetInt64(v int64) *Fp {
 
 // SetBig sets z to v mod p and returns z.
 func (z *Fp) SetBig(v *big.Int) *Fp {
-	bigToMont(v, (*[4]uint64)(z), &pMod)
+	var raw [4]uint64
+	bigToLimbs(new(big.Int).Mod(v, pBig), &raw)
+	mulFp((*[4]uint64)(z), &raw, &fpR2)
 	return z
 }
 
 // Big returns the canonical (non-Montgomery) value of z.
-func (z *Fp) Big() *big.Int { return montToBig((*[4]uint64)(z), &pMod) }
+func (z *Fp) Big() *big.Int {
+	c := z.Canonical()
+	return limbsToBig(&c)
+}
 
 // Mul sets z = x*y and returns z.
 func (z *Fp) Mul(x, y *Fp) *Fp {
-	montMul((*[4]uint64)(z), (*[4]uint64)(x), (*[4]uint64)(y), &pMod)
+	mulFp((*[4]uint64)(z), (*[4]uint64)(x), (*[4]uint64)(y))
 	return z
 }
 
@@ -75,19 +70,19 @@ func (z *Fp) Square(x *Fp) *Fp { return z.Mul(x, x) }
 
 // Add sets z = x+y and returns z.
 func (z *Fp) Add(x, y *Fp) *Fp {
-	modAdd((*[4]uint64)(z), (*[4]uint64)(x), (*[4]uint64)(y), &pMod)
+	addFp((*[4]uint64)(z), (*[4]uint64)(x), (*[4]uint64)(y))
 	return z
 }
 
 // Sub sets z = x−y and returns z.
 func (z *Fp) Sub(x, y *Fp) *Fp {
-	modSub((*[4]uint64)(z), (*[4]uint64)(x), (*[4]uint64)(y), &pMod)
+	subFp((*[4]uint64)(z), (*[4]uint64)(x), (*[4]uint64)(y))
 	return z
 }
 
 // Neg sets z = −x and returns z.
 func (z *Fp) Neg(x *Fp) *Fp {
-	modNeg((*[4]uint64)(z), (*[4]uint64)(x), &pMod)
+	negFp((*[4]uint64)(z), (*[4]uint64)(x))
 	return z
 }
 
@@ -100,7 +95,7 @@ func (z *Fp) Inverse(x *Fp) *Fp {
 	if v.Sign() == 0 {
 		return z.SetZero()
 	}
-	v.ModInverse(v, pMod.big)
+	v.ModInverse(v, pBig)
 	return z.SetBig(v)
 }
 
@@ -129,11 +124,11 @@ func (z *Fp) Equal(x *Fp) bool { return *z == *x }
 func (z *Fp) IsZero() bool { return *z == Fp{} }
 
 // IsOne reports whether z == 1.
-func (z *Fp) IsOne() bool { return *z == Fp(pMod.r) }
+func (z *Fp) IsOne() bool { return *z == fpOne }
 
 // SetRandom sets z to a uniformly random element using crypto/rand.
 func (z *Fp) SetRandom() *Fp {
-	v, err := rand.Int(rand.Reader, pMod.big)
+	v, err := rand.Int(rand.Reader, pBig)
 	if err != nil {
 		panic(fmt.Sprintf("ff: crypto/rand failure: %v", err))
 	}
@@ -142,7 +137,7 @@ func (z *Fp) SetRandom() *Fp {
 
 // SetPseudoRandom sets z from a deterministic source, for tests and benches.
 func (z *Fp) SetPseudoRandom(rng *mrand.Rand) *Fp {
-	v := new(big.Int).Rand(rng, pMod.big)
+	v := new(big.Int).Rand(rng, pBig)
 	return z.SetBig(v)
 }
 
@@ -161,7 +156,7 @@ func (z *Fp) SetBytes(b []byte) *Fp {
 	if len(b) <= 32 {
 		var raw [4]uint64
 		limbsFromBytesBE(b, &raw)
-		montFromRaw((*[4]uint64)(z), &raw, &pMod)
+		mulFp((*[4]uint64)(z), &raw, &fpR2)
 		return z
 	}
 	return z.SetBig(new(big.Int).SetBytes(b))
@@ -174,6 +169,6 @@ func (z *Fp) String() string { return z.Big().String() }
 func (z *Fp) Canonical() [4]uint64 {
 	one := [4]uint64{1, 0, 0, 0}
 	var out [4]uint64
-	montMul(&out, (*[4]uint64)(z), &one, &pMod)
+	mulFp(&out, (*[4]uint64)(z), &one)
 	return out
 }

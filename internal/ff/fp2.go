@@ -10,10 +10,6 @@ type Fp2 struct {
 	A0, A1 Fp
 }
 
-func initTowerConstants() {
-	// nothing yet; hook kept so modulus.go's init ordering stays explicit.
-}
-
 // SetZero sets z = 0 and returns z.
 func (z *Fp2) SetZero() *Fp2 { z.A0.SetZero(); z.A1.SetZero(); return z }
 
@@ -93,11 +89,11 @@ func (z *Fp2) Conjugate(x *Fp2) *Fp2 {
 
 // MulByNonResidue sets z = x·ξ where ξ = 9+u, and returns z.
 func (z *Fp2) MulByNonResidue(x *Fp2) *Fp2 {
-	// (a0+a1u)(9+u) = (9a0 − a1) + (a0 + 9a1)u
+	// (a0+a1u)(9+u) = (9a0 − a1) + (a0 + 9a1)u, with 9a = 2·2·2·a + a.
 	var t0, t1 Fp
-	t0.Mul(&x.A0, &fpNine)
+	t0.Double(&x.A0).Double(&t0).Double(&t0).Add(&t0, &x.A0)
 	t0.Sub(&t0, &x.A1)
-	t1.Mul(&x.A1, &fpNine)
+	t1.Double(&x.A1).Double(&t1).Double(&t1).Add(&t1, &x.A1)
 	t1.Add(&t1, &x.A0)
 	z.A0.Set(&t0)
 	z.A1.Set(&t1)

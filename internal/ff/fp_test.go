@@ -1,6 +1,8 @@
 package ff
 
 import (
+	"bytes"
+	"fmt"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -22,7 +24,7 @@ func randFp(rng *mrand.Rand) Fp {
 func TestFpRoundTripBig(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(1))
 	for i := 0; i < 200; i++ {
-		v := new(big.Int).Rand(rng, pMod.big)
+		v := new(big.Int).Rand(rng, pBig)
 		var x Fp
 		x.SetBig(v)
 		if got := x.Big(); got.Cmp(v) != 0 {
@@ -34,7 +36,7 @@ func TestFpRoundTripBig(t *testing.T) {
 func TestFrRoundTripBig(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(2))
 	for i := 0; i < 200; i++ {
-		v := new(big.Int).Rand(rng, rMod.big)
+		v := new(big.Int).Rand(rng, rBig)
 		var x Fr
 		x.SetBig(v)
 		if got := x.Big(); got.Cmp(v) != 0 {
@@ -43,36 +45,175 @@ func TestFrRoundTripBig(t *testing.T) {
 	}
 }
 
-func TestFpMulMatchesBig(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(3))
-	for i := 0; i < 500; i++ {
-		a := new(big.Int).Rand(rng, pMod.big)
-		b := new(big.Int).Rand(rng, pMod.big)
-		var x, y, z Fp
-		x.SetBig(a)
-		y.SetBig(b)
-		z.Mul(&x, &y)
-		want := new(big.Int).Mul(a, b)
-		want.Mod(want, pMod.big)
-		if z.Big().Cmp(want) != 0 {
-			t.Fatalf("mul mismatch at %d", i)
-		}
+// fieldElem is the method set the differential tests drive; *Fr and *Fp
+// both satisfy it.
+type fieldElem[E ~[4]uint64] interface {
+	*E
+	SetBig(v *big.Int) *E
+	SetBytes(b []byte) *E
+	Bytes() [32]byte
+	Mul(x, y *E) *E
+	Square(x *E) *E
+	Add(x, y *E) *E
+	Sub(x, y *E) *E
+	Neg(x *E) *E
+	Double(x *E) *E
+}
+
+// montLimbs is the reference Montgomery representation v·2^256 mod m as
+// little-endian limbs: a fully reduced result must match it limb for limb.
+func montLimbs(v, m *big.Int) [4]uint64 {
+	t := new(big.Int).Lsh(v, 256)
+	t.Mod(t, m)
+	var out [4]uint64
+	bigToLimbs(t, &out)
+	return out
+}
+
+// edgeValues returns 0, 1, m−1, m−2, (m−1)/2 and R mod m.
+func edgeValues(m *big.Int) []*big.Int {
+	one := big.NewInt(1)
+	r := new(big.Int).Lsh(one, 256)
+	return []*big.Int{
+		new(big.Int),
+		one,
+		new(big.Int).Sub(m, one),
+		new(big.Int).Sub(m, big.NewInt(2)),
+		new(big.Int).Rsh(new(big.Int).Sub(m, one), 1),
+		r.Mod(r, m),
 	}
 }
 
-func TestFrMulMatchesBig(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(4))
+// checkArithMatchesBig compares Mul, Square, Add, Sub, Neg and Double
+// against math/big, limb for limb in Montgomery form, on random
+// operands, the edge values, every aliasing of z with x and y, and
+// unreduced 32-byte SetBytes inputs.
+func checkArithMatchesBig[E ~[4]uint64, P fieldElem[E]](t *testing.T, m *big.Int, seed int64) {
+	t.Helper()
+	rng := mrand.New(mrand.NewSource(seed))
+	elem := func(v *big.Int) E {
+		var e E
+		P(&e).SetBig(v)
+		return e
+	}
+	check := func(what string, got E, want *big.Int) {
+		t.Helper()
+		want = new(big.Int).Mod(want, m)
+		if [4]uint64(got) != montLimbs(want, m) {
+			t.Fatalf("%s: got limbs %x, want %v", what, [4]uint64(got), want)
+		}
+	}
+	mul := func(a, b *big.Int) *big.Int { return new(big.Int).Mul(a, b) }
+	add := func(a, b *big.Int) *big.Int { return new(big.Int).Add(a, b) }
+	sub := func(a, b *big.Int) *big.Int { return new(big.Int).Sub(a, b) }
+
 	for i := 0; i < 500; i++ {
-		a := new(big.Int).Rand(rng, rMod.big)
-		b := new(big.Int).Rand(rng, rMod.big)
-		var x, y, z Fr
-		x.SetBig(a)
-		y.SetBig(b)
-		z.Mul(&x, &y)
-		want := new(big.Int).Mul(a, b)
-		want.Mod(want, rMod.big)
-		if z.Big().Cmp(want) != 0 {
-			t.Fatalf("mul mismatch at %d", i)
+		a := new(big.Int).Rand(rng, m)
+		b := new(big.Int).Rand(rng, m)
+		x, y := elem(a), elem(b)
+		var z E
+		P(&z).Mul(&x, &y)
+		check("mul", z, mul(a, b))
+	}
+
+	edges := edgeValues(m)
+	vals := append([]*big.Int(nil), edges...)
+	for i := 0; i < 8; i++ {
+		vals = append(vals, new(big.Int).Rand(rng, m))
+	}
+	for _, a := range vals {
+		x := elem(a)
+		var z E
+		P(&z).Square(&x)
+		check("square", z, mul(a, a))
+		P(&z).Neg(&x)
+		check("neg", z, new(big.Int).Neg(a))
+		P(&z).Double(&x)
+		check("double", z, add(a, a))
+
+		// z = x aliasing of the unary ops.
+		z = x
+		P(&z).Square(&z)
+		check("square z=x", z, mul(a, a))
+		z = x
+		P(&z).Neg(&z)
+		check("neg z=x", z, new(big.Int).Neg(a))
+		z = x
+		P(&z).Double(&z)
+		check("double z=x", z, add(a, a))
+
+		for _, b := range vals {
+			y := elem(b)
+			binary := []struct {
+				name string
+				op   func(z P, x, y *E) *E
+				ref  func(a, b *big.Int) *big.Int
+			}{
+				{"mul", P.Mul, mul},
+				{"add", P.Add, add},
+				{"sub", P.Sub, sub},
+			}
+			for _, op := range binary {
+				op.op(P(&z), &x, &y)
+				check(op.name, z, op.ref(a, b))
+				z = x
+				op.op(P(&z), &z, &y)
+				check(op.name+" z=x", z, op.ref(a, b))
+				z = y
+				op.op(P(&z), &x, &z)
+				check(op.name+" z=y", z, op.ref(a, b))
+				z = x
+				op.op(P(&z), &z, &z)
+				check(op.name+" z=x=y", z, op.ref(a, a))
+			}
+		}
+	}
+
+	// Unreduced 32-byte inputs: SetBytes feeds limbs up to 2^256−1
+	// straight into the Montgomery kernel.
+	inputs := [][]byte{bytes.Repeat([]byte{0xff}, 32)}
+	for _, e := range edges {
+		var b [32]byte
+		new(big.Int).Add(e, m).FillBytes(b[:]) // e+m < 2^256 for BN254
+		inputs = append(inputs, b[:])
+	}
+	for len(inputs) < 200 {
+		b := make([]byte, 32)
+		rng.Read(b)
+		if new(big.Int).SetBytes(b).Cmp(m) >= 0 {
+			inputs = append(inputs, b)
+		}
+	}
+	for _, b := range inputs {
+		var z E
+		P(&z).SetBytes(b)
+		check(fmt.Sprintf("SetBytes(%x)", b), z, new(big.Int).SetBytes(b))
+	}
+}
+
+func TestFpMulMatchesBig(t *testing.T) {
+	checkArithMatchesBig[Fp](t, pBig, 3)
+}
+
+func TestFrMulMatchesBig(t *testing.T) {
+	checkArithMatchesBig[Fr](t, rBig, 4)
+
+	// SetBytesWide splits 33–64 bytes into an unreduced high part and an
+	// unreduced 32-byte low part.
+	rng := mrand.New(mrand.NewSource(40))
+	inputs := [][]byte{bytes.Repeat([]byte{0xff}, 64), bytes.Repeat([]byte{0xff}, 48)}
+	for i := 0; i < 200; i++ {
+		b := make([]byte, 33+rng.Intn(32))
+		rng.Read(b)
+		inputs = append(inputs, b)
+	}
+	for _, b := range inputs {
+		var z Fr
+		z.SetBytesWide(b)
+		want := new(big.Int).SetBytes(b)
+		want.Mod(want, rBig)
+		if [4]uint64(z) != montLimbs(want, rBig) {
+			t.Fatalf("SetBytesWide(%x): got %v, want %v", b, z.Big(), want)
 		}
 	}
 }
@@ -179,7 +320,7 @@ func TestFrExp(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(9))
 	a := randFr(rng)
 	// Fermat: a^(r-1) = 1.
-	exp := new(big.Int).Sub(rMod.big, big.NewInt(1))
+	exp := new(big.Int).Sub(rBig, big.NewInt(1))
 	var res Fr
 	res.Exp(&a, exp)
 	if !res.IsOne() {
@@ -231,14 +372,14 @@ func TestFrAliasedOps(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(11))
 	a := randFr(rng)
 	want := new(big.Int).Mul(a.Big(), a.Big())
-	want.Mod(want, rMod.big)
+	want.Mod(want, rBig)
 	a.Mul(&a, &a)
 	if a.Big().Cmp(want) != 0 {
 		t.Fatal("aliased square broken")
 	}
 	b := randFr(rng)
 	wantSum := new(big.Int).Add(b.Big(), b.Big())
-	wantSum.Mod(wantSum, rMod.big)
+	wantSum.Mod(wantSum, rBig)
 	b.Add(&b, &b)
 	if b.Big().Cmp(wantSum) != 0 {
 		t.Fatal("aliased add broken")
@@ -263,5 +404,42 @@ func BenchmarkFpInverse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z.Inverse(&x)
+	}
+}
+
+// TestModulusConstants checks the kernels' hard-coded limbs, −m⁻¹ mod
+// 2^64, R and R² against the decimal primes, and the no-carry condition
+// (top limb < 2^63−1) the Montgomery product relies on.
+func TestModulusConstants(t *testing.T) {
+	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
+	for _, f := range []struct {
+		name         string
+		m            *big.Int
+		limbs        [4]uint64
+		inv          uint64
+		one, r2Limbs [4]uint64
+	}{
+		{"r", rBig, [4]uint64{fr0, fr1, fr2, fr3}, frInv, frOne, frR2},
+		{"p", pBig, [4]uint64{fp0, fp1, fp2, fp3}, fpInv, fpOne, fpR2},
+	} {
+		var want [4]uint64
+		bigToLimbs(f.m, &want)
+		if f.limbs != want {
+			t.Errorf("%s: limbs %x, want %x", f.name, f.limbs, want)
+		}
+		if f.limbs[3] >= 1<<63-1 {
+			t.Errorf("%s: top limb %#x breaks the no-carry condition", f.name, f.limbs[3])
+		}
+		inv := new(big.Int).ModInverse(new(big.Int).SetUint64(f.limbs[0]), two64)
+		inv.Neg(inv).Mod(inv, two64)
+		if f.inv != inv.Uint64() {
+			t.Errorf("%s: −m⁻¹ mod 2^64 = %#x, want %#x", f.name, f.inv, inv.Uint64())
+		}
+		if f.one != montLimbs(big.NewInt(1), f.m) {
+			t.Errorf("%s: R mod m mismatch", f.name)
+		}
+		if f.r2Limbs != montLimbs(new(big.Int).Lsh(big.NewInt(1), 256), f.m) {
+			t.Errorf("%s: R² mod m mismatch", f.name)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 type Fr [4]uint64
 
 // RModulus returns the scalar-field prime as a new big.Int.
-func RModulus() *big.Int { return new(big.Int).Set(rMod.big) }
+func RModulus() *big.Int { return new(big.Int).Set(rBig) }
 
 // NewFr returns the field element for v.
 func NewFr(v uint64) Fr {
@@ -27,12 +27,12 @@ func (z *Fr) Set(x *Fr) *Fr { *z = *x; return z }
 func (z *Fr) SetZero() *Fr { *z = Fr{}; return z }
 
 // SetOne sets z = 1 and returns z.
-func (z *Fr) SetOne() *Fr { *z = Fr(rMod.r); return z }
+func (z *Fr) SetOne() *Fr { *z = frOne; return z }
 
 // SetUint64 sets z = v and returns z.
 func (z *Fr) SetUint64(v uint64) *Fr {
 	raw := [4]uint64{v, 0, 0, 0}
-	montMul((*[4]uint64)(z), &raw, &rMod.r2, &rMod)
+	mulFr((*[4]uint64)(z), &raw, &frR2)
 	return z
 }
 
@@ -47,16 +47,21 @@ func (z *Fr) SetInt64(v int64) *Fr {
 
 // SetBig sets z to v mod p and returns z.
 func (z *Fr) SetBig(v *big.Int) *Fr {
-	bigToMont(v, (*[4]uint64)(z), &rMod)
+	var raw [4]uint64
+	bigToLimbs(new(big.Int).Mod(v, rBig), &raw)
+	mulFr((*[4]uint64)(z), &raw, &frR2)
 	return z
 }
 
 // Big returns the canonical (non-Montgomery) value of z.
-func (z *Fr) Big() *big.Int { return montToBig((*[4]uint64)(z), &rMod) }
+func (z *Fr) Big() *big.Int {
+	c := z.Canonical()
+	return limbsToBig(&c)
+}
 
 // Mul sets z = x*y and returns z.
 func (z *Fr) Mul(x, y *Fr) *Fr {
-	montMul((*[4]uint64)(z), (*[4]uint64)(x), (*[4]uint64)(y), &rMod)
+	mulFr((*[4]uint64)(z), (*[4]uint64)(x), (*[4]uint64)(y))
 	return z
 }
 
@@ -65,19 +70,19 @@ func (z *Fr) Square(x *Fr) *Fr { return z.Mul(x, x) }
 
 // Add sets z = x+y and returns z.
 func (z *Fr) Add(x, y *Fr) *Fr {
-	modAdd((*[4]uint64)(z), (*[4]uint64)(x), (*[4]uint64)(y), &rMod)
+	addFr((*[4]uint64)(z), (*[4]uint64)(x), (*[4]uint64)(y))
 	return z
 }
 
 // Sub sets z = x−y and returns z.
 func (z *Fr) Sub(x, y *Fr) *Fr {
-	modSub((*[4]uint64)(z), (*[4]uint64)(x), (*[4]uint64)(y), &rMod)
+	subFr((*[4]uint64)(z), (*[4]uint64)(x), (*[4]uint64)(y))
 	return z
 }
 
 // Neg sets z = −x and returns z.
 func (z *Fr) Neg(x *Fr) *Fr {
-	modNeg((*[4]uint64)(z), (*[4]uint64)(x), &rMod)
+	negFr((*[4]uint64)(z), (*[4]uint64)(x))
 	return z
 }
 
@@ -90,7 +95,7 @@ func (z *Fr) Inverse(x *Fr) *Fr {
 	if v.Sign() == 0 {
 		return z.SetZero()
 	}
-	v.ModInverse(v, rMod.big)
+	v.ModInverse(v, rBig)
 	return z.SetBig(v)
 }
 
@@ -119,11 +124,11 @@ func (z *Fr) Equal(x *Fr) bool { return *z == *x }
 func (z *Fr) IsZero() bool { return *z == Fr{} }
 
 // IsOne reports whether z == 1.
-func (z *Fr) IsOne() bool { return *z == Fr(rMod.r) }
+func (z *Fr) IsOne() bool { return *z == frOne }
 
 // SetRandom sets z to a uniformly random element using crypto/rand.
 func (z *Fr) SetRandom() *Fr {
-	v, err := rand.Int(rand.Reader, rMod.big)
+	v, err := rand.Int(rand.Reader, rBig)
 	if err != nil {
 		panic(fmt.Sprintf("ff: crypto/rand failure: %v", err))
 	}
@@ -132,7 +137,7 @@ func (z *Fr) SetRandom() *Fr {
 
 // SetPseudoRandom sets z from a deterministic source, for tests and benches.
 func (z *Fr) SetPseudoRandom(rng *mrand.Rand) *Fr {
-	v := new(big.Int).Rand(rng, rMod.big)
+	v := new(big.Int).Rand(rng, rBig)
 	return z.SetBig(v)
 }
 
@@ -153,7 +158,7 @@ func (z *Fr) SetBytes(b []byte) *Fr {
 	if len(b) <= 32 {
 		var raw [4]uint64
 		limbsFromBytesBE(b, &raw)
-		montFromRaw((*[4]uint64)(z), &raw, &rMod)
+		mulFr((*[4]uint64)(z), &raw, &frR2)
 		return z
 	}
 	return z.SetBig(new(big.Int).SetBytes(b))
@@ -173,10 +178,10 @@ func (z *Fr) SetBytesWide(b []byte) *Fr {
 	split := len(b) - 32
 	var raw, hi [4]uint64
 	limbsFromBytesBE(b[:split], &raw)
-	montFromRaw(&hi, &raw, &rMod)
-	montMul(&hi, &hi, &rMod.r2, &rMod)
+	mulFr(&hi, &raw, &frR2)
+	mulFr(&hi, &hi, &frR2)
 	limbsFromBytesBE(b[split:], &raw)
-	montFromRaw((*[4]uint64)(z), &raw, &rMod)
+	mulFr((*[4]uint64)(z), &raw, &frR2)
 	return z.Add(z, (*Fr)(&hi))
 }
 
@@ -187,6 +192,6 @@ func (z *Fr) String() string { return z.Big().String() }
 func (z *Fr) Canonical() [4]uint64 {
 	one := [4]uint64{1, 0, 0, 0}
 	var out [4]uint64
-	montMul(&out, (*[4]uint64)(z), &one, &rMod)
+	mulFr(&out, (*[4]uint64)(z), &one)
 	return out
 }

@@ -56,3 +56,53 @@ func FuzzFrSetBytesRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// fuzzMul checks Mul against math/big on two arbitrary operands of up to
+// 32 bytes each (reduced by SetBytes), limb for limb in Montgomery form,
+// including the z = x = y squaring alias. The edge values 0, 1, m−1, m−2,
+// (m−1)/2 and R mod m seed the corpus.
+func fuzzMul[E ~[4]uint64, P fieldElem[E]](f *testing.F, m *big.Int) {
+	edges := edgeValues(m)
+	for _, a := range edges {
+		for _, b := range edges {
+			var ab, bb [32]byte
+			a.FillBytes(ab[:])
+			b.FillBytes(bb[:])
+			f.Add(ab[:], bb[:])
+		}
+	}
+	f.Add(bytes.Repeat([]byte{0xff}, 32), bytes.Repeat([]byte{0xff}, 32))
+
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		if len(a) > 32 {
+			a = a[:32]
+		}
+		if len(b) > 32 {
+			b = b[:32]
+		}
+		av := new(big.Int).SetBytes(a)
+		bv := new(big.Int).SetBytes(b)
+		var x, y, z E
+		P(&x).SetBytes(a)
+		P(&y).SetBytes(b)
+		P(&z).Mul(&x, &y)
+		want := new(big.Int).Mul(av, bv)
+		want.Mod(want, m)
+		if [4]uint64(z) != montLimbs(want, m) {
+			t.Fatalf("Mul(%x, %x): got limbs %x, want %v", a, b, [4]uint64(z), want)
+		}
+		if c := P(&z).Bytes(); new(big.Int).SetBytes(c[:]).Cmp(want) != 0 {
+			t.Fatalf("Mul(%x, %x): Bytes() = %x, want %v", a, b, c, want)
+		}
+		z = x
+		P(&z).Mul(&z, &z)
+		want.Mul(av, av).Mod(want, m)
+		if [4]uint64(z) != montLimbs(want, m) {
+			t.Fatalf("Mul(z, z) with z = %x: got limbs %x, want %v", a, [4]uint64(z), want)
+		}
+	})
+}
+
+func FuzzFrMul(f *testing.F) { fuzzMul[Fr](f, rBig) }
+
+func FuzzFpMul(f *testing.F) { fuzzMul[Fp](f, pBig) }

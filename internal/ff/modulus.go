@@ -6,21 +6,28 @@
 // (R = 2^256). All arithmetic is constant-allocation; none of it is
 // constant-time — this library targets benchmarking and research, not
 // hostile side-channel environments.
+//
+// The arithmetic kernels (arith.go) are specific to the two BN254 primes:
+// the modulus limbs and −m⁻¹ mod 2^64 are package constants and every
+// loop is unrolled. The Montgomery product is the "no-carry" CIOS variant
+// (the technique gnark-crypto uses), which keeps the running sum in a
+// five-limb accumulator with no sixth-limb carry. It relies on two
+// conditions:
+//
+//   - the top modulus limb is below 2^63−1 (both primes have top limb
+//     0x30644e72e131a029), so m < 2^255 and the carry out of the fifth
+//     limb is always zero;
+//   - the full multiplicand y is < m. The word-scanned operand x may be
+//     any 256-bit value, which is how unreduced SetBytes input enters
+//     Montgomery form.
+//
+// Under both, the product before its final conditional subtraction is
+// < 2m, so one subtraction leaves the unique fully reduced representative.
+// Every constructor reduces, so Add, Sub and Neg likewise assume operands
+// < m.
 package ff
 
-import (
-	"math/big"
-	"math/bits"
-)
-
-// modulus bundles a 4-limb prime with its Montgomery constants.
-type modulus struct {
-	limbs [4]uint64 // little-endian limbs of the prime
-	ninv  uint64    // -limbs^{-1} mod 2^64
-	r     [4]uint64 // 2^256 mod m (Montgomery form of 1)
-	r2    [4]uint64 // 2^512 mod m (used to enter Montgomery form)
-	big   *big.Int  // the prime as a big.Int
-}
+import "math/big"
 
 // Decimal strings for the BN254 primes (EIP-196/197 alt_bn128).
 const (
@@ -28,39 +35,42 @@ const (
 	rDec = "21888242871839275222246405745257275088548364400416034343698204186575808495617"
 )
 
-var (
-	pMod modulus // base field
-	rMod modulus // scalar field
+// Little-endian limbs of the scalar-field prime r and −r⁻¹ mod 2^64.
+const (
+	fr0   = 0x43e1f593f0000001
+	fr1   = 0x2833e84879b97091
+	fr2   = 0xb85045b68181585d
+	fr3   = 0x30644e72e131a029
+	frInv = 0xc2e1f593efffffff
 )
 
-func init() {
-	initModulus(&pMod, pDec)
-	initModulus(&rMod, rDec)
-	initFpConstants()
-	initTowerConstants()
-}
+// Little-endian limbs of the base-field prime p and −p⁻¹ mod 2^64.
+const (
+	fp0   = 0x3c208c16d87cfd47
+	fp1   = 0x97816a916871ca8d
+	fp2   = 0xb85045b68181585d
+	fp3   = 0x30644e72e131a029
+	fpInv = 0x87d20782e4866389
+)
 
-func initModulus(m *modulus, dec string) {
+var (
+	rBig = mustBig(rDec)
+	pBig = mustBig(pDec)
+
+	// frOne = R mod r is the Montgomery form of 1; frR2 = R² mod r maps
+	// a raw value into Montgomery form with one product. Likewise for p.
+	frOne = Fr{0xac96341c4ffffffb, 0x36fc76959f60cd29, 0x666ea36f7879462e, 0x0e0a77c19a07df2f}
+	frR2  = [4]uint64{0x1bb8e645ae216da7, 0x53fe3ab1e35c59e3, 0x8c49833d53bb8085, 0x0216d0b17f4e44a5}
+	fpOne = Fp{0xd35d438dc58f0d9d, 0x0a78eb28f5c70b3d, 0x666ea36f7879462c, 0x0e0a77c19a07df2f}
+	fpR2  = [4]uint64{0xf32cfc5b538afa89, 0xb5e71911d44501fb, 0x47ab1eff0a417ff6, 0x06d89f71cab8351f}
+)
+
+func mustBig(dec string) *big.Int {
 	v, ok := new(big.Int).SetString(dec, 10)
 	if !ok {
 		panic("ff: bad modulus literal")
 	}
-	m.big = v
-	bigToLimbs(v, &m.limbs)
-
-	// ninv = -m^{-1} mod 2^64.
-	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
-	inv := new(big.Int).ModInverse(new(big.Int).SetUint64(m.limbs[0]), two64)
-	inv.Neg(inv).Mod(inv, two64)
-	m.ninv = inv.Uint64()
-
-	r := new(big.Int).Lsh(big.NewInt(1), 256)
-	r.Mod(r, v)
-	bigToLimbs(r, &m.r)
-
-	r2 := new(big.Int).Lsh(big.NewInt(1), 512)
-	r2.Mod(r2, v)
-	bigToLimbs(r2, &m.r2)
+	return v
 }
 
 func bigToLimbs(v *big.Int, out *[4]uint64) {
@@ -98,145 +108,8 @@ func limbsFromBytesBE(b []byte, out *[4]uint64) {
 	}
 }
 
-// montFromRaw sets z to the Montgomery form of the (unreduced, < 2^256)
-// limb value raw: montMul's trailing reduction loop handles inputs above
-// the modulus, so this is a full alloc-free replacement for the
-// big.Int round trip on ≤32-byte inputs.
-func montFromRaw(z, raw *[4]uint64, m *modulus) {
-	montMul(z, raw, &m.r2, m)
-}
-
 func limbsToBig(l *[4]uint64) *big.Int {
 	var buf [32]byte
-	for i := 0; i < 4; i++ {
-		v := l[i]
-		for j := 0; j < 8; j++ {
-			buf[31-8*i-j] = byte(v >> (8 * j))
-		}
-	}
+	limbsToBytesBE(l, &buf)
 	return new(big.Int).SetBytes(buf[:])
-}
-
-// montMul sets z = x*y*R^{-1} mod m (CIOS). Aliasing of z with x or y is
-// allowed.
-func montMul(z, x, y *[4]uint64, m *modulus) {
-	var t [5]uint64
-	for i := 0; i < 4; i++ {
-		xi := x[i]
-		var c, c1 uint64
-		for j := 0; j < 4; j++ {
-			hi, lo := bits.Mul64(xi, y[j])
-			lo, c1 = bits.Add64(lo, c, 0)
-			hi += c1
-			t[j], c1 = bits.Add64(t[j], lo, 0)
-			c = hi + c1
-		}
-		t[4], c = bits.Add64(t[4], c, 0)
-		t5 := c
-
-		u := t[0] * m.ninv
-		c = 0
-		for j := 0; j < 4; j++ {
-			hi, lo := bits.Mul64(u, m.limbs[j])
-			lo, c1 = bits.Add64(lo, c, 0)
-			hi += c1
-			t[j], c1 = bits.Add64(t[j], lo, 0)
-			c = hi + c1
-		}
-		t[4], c = bits.Add64(t[4], c, 0)
-		t5 += c
-
-		t[0], t[1], t[2], t[3], t[4] = t[1], t[2], t[3], t[4], t5
-	}
-	// T < 2m here; reduce into [0, m).
-	for t[4] != 0 || geq4(&t, &m.limbs) {
-		var b uint64
-		t[0], b = bits.Sub64(t[0], m.limbs[0], 0)
-		t[1], b = bits.Sub64(t[1], m.limbs[1], b)
-		t[2], b = bits.Sub64(t[2], m.limbs[2], b)
-		t[3], b = bits.Sub64(t[3], m.limbs[3], b)
-		t[4] -= b
-	}
-	z[0], z[1], z[2], z[3] = t[0], t[1], t[2], t[3]
-}
-
-// geq4 reports whether the low 4 limbs of t are >= m.
-func geq4(t *[5]uint64, m *[4]uint64) bool {
-	for i := 3; i >= 0; i-- {
-		if t[i] != m[i] {
-			return t[i] > m[i]
-		}
-	}
-	return true
-}
-
-// modAdd sets z = x + y mod m.
-func modAdd(z, x, y *[4]uint64, m *modulus) {
-	var c uint64
-	z[0], c = bits.Add64(x[0], y[0], 0)
-	z[1], c = bits.Add64(x[1], y[1], c)
-	z[2], c = bits.Add64(x[2], y[2], c)
-	z[3], c = bits.Add64(x[3], y[3], c)
-	if c != 0 || geqLimbs(z, &m.limbs) {
-		var b uint64
-		z[0], b = bits.Sub64(z[0], m.limbs[0], 0)
-		z[1], b = bits.Sub64(z[1], m.limbs[1], b)
-		z[2], b = bits.Sub64(z[2], m.limbs[2], b)
-		z[3], _ = bits.Sub64(z[3], m.limbs[3], b)
-		_ = b
-	}
-}
-
-// modSub sets z = x - y mod m.
-func modSub(z, x, y *[4]uint64, m *modulus) {
-	var b uint64
-	z[0], b = bits.Sub64(x[0], y[0], 0)
-	z[1], b = bits.Sub64(x[1], y[1], b)
-	z[2], b = bits.Sub64(x[2], y[2], b)
-	z[3], b = bits.Sub64(x[3], y[3], b)
-	if b != 0 {
-		var c uint64
-		z[0], c = bits.Add64(z[0], m.limbs[0], 0)
-		z[1], c = bits.Add64(z[1], m.limbs[1], c)
-		z[2], c = bits.Add64(z[2], m.limbs[2], c)
-		z[3], _ = bits.Add64(z[3], m.limbs[3], c)
-	}
-}
-
-// modNeg sets z = -x mod m.
-func modNeg(z, x *[4]uint64, m *modulus) {
-	if x[0] == 0 && x[1] == 0 && x[2] == 0 && x[3] == 0 {
-		z[0], z[1], z[2], z[3] = 0, 0, 0, 0
-		return
-	}
-	var b uint64
-	z[0], b = bits.Sub64(m.limbs[0], x[0], 0)
-	z[1], b = bits.Sub64(m.limbs[1], x[1], b)
-	z[2], b = bits.Sub64(m.limbs[2], x[2], b)
-	z[3], _ = bits.Sub64(m.limbs[3], x[3], b)
-}
-
-func geqLimbs(a, b *[4]uint64) bool {
-	for i := 3; i >= 0; i-- {
-		if a[i] != b[i] {
-			return a[i] > b[i]
-		}
-	}
-	return true
-}
-
-// montToBig converts a Montgomery-form limb vector to a canonical big.Int.
-func montToBig(l *[4]uint64, m *modulus) *big.Int {
-	var one = [4]uint64{1, 0, 0, 0}
-	var out [4]uint64
-	montMul(&out, l, &one, m)
-	return limbsToBig(&out)
-}
-
-// bigToMont loads a big.Int (any sign/magnitude) into Montgomery form.
-func bigToMont(v *big.Int, l *[4]uint64, m *modulus) {
-	t := new(big.Int).Mod(v, m.big)
-	var raw [4]uint64
-	bigToLimbs(t, &raw)
-	montMul(l, &raw, &m.r2, m)
 }

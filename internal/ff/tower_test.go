@@ -191,7 +191,7 @@ func TestFp12MultiplicativeOrder(t *testing.T) {
 	// Any nonzero x satisfies x^(p^12 - 1) = 1.
 	rng := mrand.New(mrand.NewSource(27))
 	a := randFp12(rng)
-	p12 := new(big.Int).Exp(pMod.big, big.NewInt(12), nil)
+	p12 := new(big.Int).Exp(pBig, big.NewInt(12), nil)
 	p12.Sub(p12, big.NewInt(1))
 	var res Fp12
 	res.Exp(&a, p12)

@@ -98,70 +98,7 @@ func (p *Pool) Release() { <-p.tokens }
 // A panic in any chunk is re-raised on the caller after all chunks
 // finish (the first panic value wins).
 func (p *Pool) For(n, grain int, body func(start, end int)) {
-	if n <= 0 {
-		return
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	chunks := (n + grain - 1) / grain
-	if chunks == 1 || p.size == 1 {
-		body(0, n)
-		return
-	}
-	extra := 0
-	for extra < chunks-1 && extra < p.size-1 && p.TryAcquire() {
-		extra++
-	}
-	if extra == 0 {
-		body(0, n)
-		return
-	}
-	p.run(chunks, extra, func(c int) {
-		start := c * grain
-		end := start + grain
-		if end > n {
-			end = n
-		}
-		body(start, end)
-	})
-}
-
-// run executes chunk indices [0, chunks) across the caller plus extra
-// already-acquired workers, releasing the extra tokens before returning.
-func (p *Pool) run(chunks, extra int, chunk func(c int)) {
-	var next atomic.Int64
-	var panicVal atomic.Pointer[any]
-	loop := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				panicVal.CompareAndSwap(nil, &r)
-			}
-		}()
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			chunk(c)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(extra)
-	for i := 0; i < extra; i++ {
-		go func() {
-			defer wg.Done()
-			loop()
-		}()
-	}
-	loop()
-	wg.Wait()
-	for i := 0; i < extra; i++ {
-		p.Release()
-	}
-	if r := panicVal.Load(); r != nil {
-		panic(*r)
-	}
+	p.ForCtx(nil, n, grain, body)
 }
 
 // ForCtx is For with cooperative cancellation: once ctx is done, chunks
@@ -172,16 +109,131 @@ func (p *Pool) run(chunks, extra int, chunk func(c int)) {
 // schedules stay drop-in interchangeable. A nil ctx means no
 // cancellation.
 func (p *Pool) ForCtx(ctx context.Context, n, grain int, body func(start, end int)) {
-	if ctx == nil {
-		p.For(n, grain, body)
+	if n <= 0 {
 		return
 	}
-	p.For(n, grain, func(start, end int) {
-		if ctx.Err() != nil {
+	if grain < 1 {
+		grain = 1
+	}
+	chunks := (n + grain - 1) / grain
+	extra := p.borrow(chunks)
+	if extra == 0 {
+		if ctx == nil || ctx.Err() == nil {
+			body(0, n)
+		}
+		return
+	}
+	j := forJobs.Get().(*forJob)
+	j.ctx, j.n, j.grain, j.body = ctx, n, grain, body
+	p.run(&j.job, chunks, extra)
+	j.ctx, j.body = nil, nil
+	forJobs.Put(j)
+}
+
+// borrow takes up to min(chunks, size)−1 free tokens for helper workers
+// and returns how many it got; 0 means run sequentially.
+func (p *Pool) borrow(chunks int) int {
+	extra := 0
+	for extra < chunks-1 && extra < p.size-1 && p.TryAcquire() {
+		extra++
+	}
+	return extra
+}
+
+// job is the dispatch state shared by the caller and the helper workers
+// of one For or MapReduce call. Jobs are pooled, the per-chunk work is a
+// method of the job rather than a closure, and helpers are started as
+// capture-free goroutines that receive their job over handoff, so a warm
+// dispatch allocates nothing at any parallelism.
+type job struct {
+	work     chunker // the job's own outer struct
+	chunks   int64
+	next     atomic.Int64
+	panicVal atomic.Pointer[any]
+	wg       sync.WaitGroup
+}
+
+// chunker runs chunk c of a job.
+type chunker interface{ chunk(c int) }
+
+// handoff passes jobs to freshly started helper goroutines. Every send
+// follows the start of one helper that receives exactly once, so a full
+// buffer only delays a sender until an already-started helper runs. The
+// helpers in flight at once are bounded by the tokens of the live pools,
+// which stay well under 64 on the machines this targets, so a send
+// normally does not wait for its helper to be scheduled.
+var handoff = make(chan *job, 64)
+
+func helper() {
+	j := <-handoff
+	j.loop()
+	j.wg.Done()
+}
+
+// loop claims and runs chunks until none are left, recording the first
+// panic instead of unwinding past the job.
+func (j *job) loop() {
+	defer func() {
+		if r := recover(); r != nil {
+			v := r // heap-allocated only on this path
+			j.panicVal.CompareAndSwap(nil, &v)
+		}
+	}()
+	for {
+		c := j.next.Add(1) - 1
+		if c >= j.chunks {
 			return
 		}
-		body(start, end)
-	})
+		j.work.chunk(int(c))
+	}
+}
+
+// run executes chunk indices [0, chunks) of j across the caller plus
+// extra already-acquired workers, releasing the extra tokens before
+// returning.
+func (p *Pool) run(j *job, chunks, extra int) {
+	j.chunks = int64(chunks)
+	j.next.Store(0)
+	j.panicVal.Store(nil)
+	j.wg.Add(extra)
+	for i := 0; i < extra; i++ {
+		go helper()
+		handoff <- j
+	}
+	j.loop()
+	j.wg.Wait()
+	for i := 0; i < extra; i++ {
+		p.Release()
+	}
+	if r := j.panicVal.Load(); r != nil {
+		panic(*r)
+	}
+}
+
+// chunkBounds returns the index range of chunk c.
+func chunkBounds(c, n, grain int) (start, end int) {
+	start = c * grain
+	return start, min(start+grain, n)
+}
+
+type forJob struct {
+	job
+	ctx      context.Context
+	n, grain int
+	body     func(start, end int)
+}
+
+var forJobs = sync.Pool{New: func() any {
+	j := new(forJob)
+	j.work = j
+	return j
+}}
+
+func (j *forJob) chunk(c int) {
+	if j.ctx != nil && j.ctx.Err() != nil {
+		return
+	}
+	j.body(chunkBounds(c, j.n, j.grain))
 }
 
 // MapReduce maps fixed chunks of [0, n) and folds the chunk results in
@@ -198,47 +250,65 @@ func MapReduce[T any](p *Pool, n, grain int, mapChunk func(start, end int) T, re
 		grain = 1
 	}
 	chunks := (n + grain - 1) / grain
-	if chunks == 1 || p.size == 1 {
-		return mapSeq(n, grain, chunks, mapChunk, reduce)
-	}
-	extra := 0
-	for extra < chunks-1 && extra < p.size-1 && p.TryAcquire() {
-		extra++
-	}
+	extra := p.borrow(chunks)
 	if extra == 0 {
 		return mapSeq(n, grain, chunks, mapChunk, reduce)
 	}
-	results := make([]T, chunks)
-	p.run(chunks, extra, func(c int) {
-		start := c * grain
-		end := start + grain
-		if end > n {
-			end = n
-		}
-		results[c] = mapChunk(start, end)
-	})
-	acc := results[0]
-	for c := 1; c < chunks; c++ {
-		acc = reduce(acc, results[c])
+	pool := mapJobPool[T]()
+	j := pool.Get().(*mapJob[T])
+	j.n, j.grain, j.mapChunk = n, grain, mapChunk
+	if cap(j.results) < chunks {
+		j.results = make([]T, chunks)
 	}
+	j.results = j.results[:chunks]
+	p.run(&j.job, chunks, extra)
+	acc := j.results[0]
+	for c := 1; c < chunks; c++ {
+		acc = reduce(acc, j.results[c])
+	}
+	clear(j.results)
+	j.mapChunk = nil
+	pool.Put(j)
 	return acc
+}
+
+// mapJob holds one MapReduce call; results are its pooled per-chunk
+// result slots.
+type mapJob[T any] struct {
+	job
+	n, grain int
+	mapChunk func(start, end int) T
+	results  []T
+}
+
+func (j *mapJob[T]) chunk(c int) {
+	j.results[c] = j.mapChunk(chunkBounds(c, j.n, j.grain))
+}
+
+// mapJobs holds one sync.Pool of *mapJob[T] per result type T, keyed by
+// the typed nil pointer (*T)(nil), which is distinct for every T and
+// converts to an interface without allocating.
+var mapJobs sync.Map
+
+func mapJobPool[T any]() *sync.Pool {
+	key := any((*T)(nil))
+	if pl, ok := mapJobs.Load(key); ok {
+		return pl.(*sync.Pool)
+	}
+	pl, _ := mapJobs.LoadOrStore(key, &sync.Pool{New: func() any {
+		j := new(mapJob[T])
+		j.work = j
+		return j
+	}})
+	return pl.(*sync.Pool)
 }
 
 // mapSeq is the sequential MapReduce schedule: the same chunk layout and
 // fold order as the parallel path, on the calling goroutine.
 func mapSeq[T any](n, grain, chunks int, mapChunk func(start, end int) T, reduce func(acc, next T) T) T {
-	end := grain
-	if end > n {
-		end = n
-	}
-	acc := mapChunk(0, end)
+	acc := mapChunk(chunkBounds(0, n, grain))
 	for c := 1; c < chunks; c++ {
-		start := c * grain
-		end := start + grain
-		if end > n {
-			end = n
-		}
-		acc = reduce(acc, mapChunk(start, end))
+		acc = reduce(acc, mapChunk(chunkBounds(c, n, grain)))
 	}
 	return acc
 }

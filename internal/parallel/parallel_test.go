@@ -299,3 +299,37 @@ func TestAcquireCtx(t *testing.T) {
 		t.Fatalf("%d tokens leaked", got)
 	}
 }
+
+// TestDispatchAllocFree pins the allocation contract of the dispatch
+// itself: a warm For, ForCtx or MapReduce allocates nothing at any
+// parallelism, so callers' allocs/op do not depend on the core count.
+func TestDispatchAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop Puts, so warm jobs are rebuilt")
+	}
+	for _, size := range []int{1, 2, 4} {
+		p := NewPool(size)
+		out := make([]int64, 256)
+		body := func(start, end int) {
+			for i := start; i < end; i++ {
+				out[i]++
+			}
+		}
+		mapChunk := func(start, end int) [4]uint64 { return [4]uint64{uint64(start), uint64(end)} }
+		reduce := func(a, b [4]uint64) [4]uint64 { return [4]uint64{a[0] + b[0], a[1] + b[1]} }
+		ctx := context.Background()
+		for _, tc := range []struct {
+			name string
+			f    func()
+		}{
+			{"For", func() { p.For(len(out), 8, body) }},
+			{"ForCtx", func() { p.ForCtx(ctx, len(out), 8, body) }},
+			{"MapReduce", func() { MapReduce(p, len(out), 8, mapChunk, reduce) }},
+		} {
+			tc.f() // warm the job pools
+			if avg := testing.AllocsPerRun(100, tc.f); avg != 0 {
+				t.Errorf("size %d: warm %s allocates %.2f objects/op, want 0", size, tc.name, avg)
+			}
+		}
+	}
+}

@@ -190,6 +190,11 @@ func (c *Client) ProveModel(ctx context.Context, req *zkvc.ModelRequest) *zkvc.M
 				return
 			}
 			if err != nil {
+				// A read cut short by the caller's cancellation surfaces
+				// as a truncated frame; report the cancellation instead.
+				if ctxErr := ctx.Err(); ctxErr != nil {
+					err = ctxErr
+				}
 				yield(nil, err)
 				return
 			}

@@ -74,6 +74,9 @@ type modelJob struct {
 	// payloads) pile up in memory — that bound is the reason the endpoint
 	// streams at all.
 	events chan modelEvent
+	// final is the last completed op's frame, held back by OnOp until
+	// run has attested the report.
+	final []byte
 }
 
 type modelEvent struct {
@@ -122,6 +125,7 @@ func (j *modelJob) run(s *Server, _ *zkvc.MatMulProver) {
 		s.replicate([][sha256.Size]byte{d}, nil)
 	}
 	s.metrics.modelJobsProved.Add(1)
+	j.publish(s, j.final)
 }
 
 // modelOpts assembles the compiler options for one model job: the
@@ -147,20 +151,31 @@ func (s *Server) modelOpts(j *modelJob) zkml.Options {
 		s.metrics.modelOpsProved.Add(1)
 		s.metrics.modelOpsQueued.Add(-1)
 		s.metrics.queueUnits.Add(-1)
-		j.completed.Add(1)
 		s.metrics.recordOpTimings(op)
-		select {
-		case j.events <- modelEvent{frame: frame}:
-		default:
-			// The handler (or its client) is behind; block, and account
-			// the stall so /metrics shows stream backpressure.
-			s.metrics.streamStalls.Add(1)
-			start := time.Now()
-			j.events <- modelEvent{frame: frame}
-			s.metrics.streamStallNanos.Add(time.Since(start).Nanoseconds())
+		if j.completed.Add(1) == int64(j.plan) {
+			// The last op completes the report. run streams its frame
+			// only after attesting, so a client that verifies as soon
+			// as it holds every op finds the attestation recorded.
+			j.final = frame
+			return
 		}
+		j.publish(s, frame)
 	}
 	return opts
+}
+
+// publish hands one op frame to the HTTP handler.
+func (j *modelJob) publish(s *Server, frame []byte) {
+	select {
+	case j.events <- modelEvent{frame: frame}:
+	default:
+		// The handler (or its client) is behind; block, and account
+		// the stall so /metrics shows stream backpressure.
+		s.metrics.streamStalls.Add(1)
+		start := time.Now()
+		j.events <- modelEvent{frame: frame}
+		s.metrics.streamStallNanos.Add(time.Since(start).Nanoseconds())
+	}
 }
 
 // circuitSetup is the SetupFunc model jobs use: Groth16 proving material
